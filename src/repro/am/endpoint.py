@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..nic.endpoint_state import EndpointState, Residency
 from ..nic.message import Message, MsgKind
-from ..osim.threads import CondVar, Thread
+from ..osim.threads import CondVar, Spin, Thread
 from ..sim.core import AnyOf, Event
 from .errors import AmError, BadTranslationError, EndpointFreedError
 
@@ -99,7 +99,7 @@ class Endpoint:
         self.cfg = node.cfg
         self.nic = node.nic
         self.driver = node.driver
-        self.stats = AmStats()
+        self._stats = AmStats()
 
         #: credits available per translation index (Section 6.4)
         self._credits: dict[int, int] = {}
@@ -113,6 +113,14 @@ class Endpoint:
         self.undeliverable_handler: Optional[Callable[[Message, Any], None]] = None
         #: default ns charged per handled message when a handler returns None
         self.handler_cost_ns = 0
+
+    @property
+    def stats(self) -> AmStats:
+        """Counters so far (a parked spin loop's polls included)."""
+        w = self.state.waker
+        if w is not None:
+            w.settle_now()
+        return self._stats
 
     # ------------------------------------------------------------- identity
     @property
@@ -129,6 +137,8 @@ class Endpoint:
     def set_shared(self, shared: bool = True) -> None:
         """Shared endpoints pay a lock cost per operation (Section 3.3)."""
         self.state.shared = shared
+        if self.state.waker is not None:  # the poll cost includes the lock
+            self.state.waker.wake()
 
     def map(self, index: int, name: tuple[int, int], key: int) -> None:
         """Install a translation: small integer -> (endpoint name, key)."""
@@ -217,22 +227,77 @@ class Endpoint:
             self._outstanding[msg.msg_id] = index
             self._credits[index] -= 1
             yield from self._enqueue(thr, msg)
-            self.stats.requests_sent += 1
+            self._stats.requests_sent += 1
             tr = self.node.sim.trace
             if tr.enabled:
                 tr.emit("am.request", self.state.node, msg=msg.msg_id, ep=self.state.ep_id,
                         index=index, nbytes=frag_bytes, bulk=is_bulk)
             if is_bulk:
-                self.stats.bulk_bytes_sent += frag_bytes
+                self._stats.bulk_bytes_sent += frag_bytes
         return None
 
     def _acquire_credit(self, thr: Thread, index: int) -> Generator:
         """Spin (polling to drain replies) until a credit is available."""
         while self._credits.get(index, 0) <= 0:
-            self.stats.credit_stalls += 1
-            processed = yield from self.poll(thr, limit=4)
+            yield from self.spin_step(thr, 4, self._idle_spin_ns, stall=True)
+
+    def _idle_spin_ns(self) -> int:
+        return self.cfg.poll_host_ns
+
+    def spin_step(self, thr: Thread, limit: int, idle_ns: Callable[[], int],
+                  stall: bool = False) -> Generator:
+        """One iteration of a host spin loop: poll (draining up to
+        ``limit`` messages), then, if nothing was processed, spin idle
+        for ``idle_ns()``.  ``stall`` counts the iteration as a credit
+        stall.  The caller re-checks its exit condition after each step.
+
+        With ``cfg.spin_elision`` the step parks the thread instead
+        (DESIGN §16) and stands for every iteration up to the one that
+        sees a change — a deposit, a credit refund, a residency flip, a
+        free, a thread queued on the CPU, a pause or a trace; the
+        counters and CPU time of the skipped iterations are charged in
+        closed form.  The simulated program is the same either way.
+        """
+        spin = self._park_spin(thr, idle_ns, stall) if self.cfg.spin_elision else None
+        if spin is None:
+            if stall:
+                self._stats.credit_stalls += 1
+            processed = yield from self.poll(thr, limit=limit)
             if processed == 0:
-                yield from thr.compute(self.cfg.poll_host_ns)
+                yield from thr.compute(idle_ns())
+            return
+        phase, piece, rest = yield spin
+        yield from thr.finish_slice(piece, rest)
+        if phase == Spin.POLL:
+            st = self.state
+            processed = 0
+            if st.recv_requests or st.recv_replies or st.returned:
+                processed = yield from self._drain(thr, limit)
+            if processed == 0:
+                yield from thr.compute(idle_ns())
+
+    def _park_spin(self, thr: Thread, idle_ns: Callable[[], int], stall: bool) -> Optional[Spin]:
+        """A Spin for a :meth:`spin_step` about to poll, or None when the
+        step must run in full (freed endpoint, messages already pending,
+        or the thread/CPU conditions of :meth:`Thread.park_spin`)."""
+        st = self.state
+        residency = st.residency
+        if (residency is Residency.FREED or st.recv_requests or st.recv_replies
+                or st.returned):
+            return None
+        cfg = self.cfg
+        cost = cfg.poll_resident_ns if residency is Residency.ONNIC_RW else cfg.poll_host_ns
+        if st.shared:
+            cost += cfg.shared_ep_lock_ns
+        stats = self._stats
+        if stall:
+            def on_iters(k: int) -> None:
+                stats.polls += k
+                stats.credit_stalls += k
+        else:
+            def on_iters(k: int) -> None:
+                stats.polls += k
+        return thr.park_spin(cost, idle_ns(), on_iters, (st,))
 
     def _enqueue(self, thr: Thread, msg: Message) -> Generator:
         """Charge Os, write the descriptor, fault if non-resident."""
@@ -242,7 +307,7 @@ class Endpoint:
             if self.nic.host_enqueue_send(self.state, msg):
                 break
             # Send ring full: drain some receive work and retry.
-            self.stats.ring_stalls += 1
+            self._stats.ring_stalls += 1
             processed = yield from self.poll(thr, limit=4)
             if processed == 0:
                 yield from thr.compute(1_000)  # brief spin between polls
@@ -260,6 +325,8 @@ class Endpoint:
             index = self._outstanding.pop(msg.msg_id, None)
             if index is not None and index in self._credits:
                 self._credits[index] += 1
+                if self.state.waker is not None:
+                    self.state.waker.wake()
 
     def _send_reply(self, token: Token, handler: Optional[Handler], args: tuple, nbytes: int, auto: bool) -> Message:
         meta = {
@@ -297,7 +364,7 @@ class Endpoint:
         residency = st.residency
         if residency is Residency.FREED:
             raise EndpointFreedError(f"endpoint {self.name} freed")
-        self.stats.polls += 1
+        self._stats.polls += 1
         cost = (cfg.poll_resident_ns if residency is Residency.ONNIC_RW
                 else cfg.poll_host_ns)
         if st.shared:
@@ -344,7 +411,7 @@ class Endpoint:
         yield from thr.compute(self.cfg.host_recv_overhead_ns)
         handler, args, meta = msg.body if msg.body else (None, (), {})
         if msg.kind is MsgKind.REPLY:
-            self.stats.replies_handled += 1
+            self._stats.replies_handled += 1
             # Return the credit for the acknowledged request (§6.4).
             index = self._outstanding.pop(meta.get("ack_for"), None)
             if index is not None and index in self._credits:
@@ -355,9 +422,9 @@ class Endpoint:
                 yield from self._charge_handler(thr, cost)
             return
         # --- request path ---
-        self.stats.requests_handled += 1
+        self._stats.requests_handled += 1
         if msg.is_bulk:
-            self.stats.bulk_bytes_received += msg.payload_bytes
+            self._stats.bulk_bytes_received += msg.payload_bytes
         frag = meta.get("frag")
         if frag is not None:
             tid, i, n = frag
@@ -392,9 +459,9 @@ class Endpoint:
     def _emit_reply(self, thr: Thread, token: Token, handler, args, nbytes: int, auto: bool) -> Generator:
         msg = self._send_reply(token, handler, args, nbytes, auto)
         if auto:
-            self.stats.auto_replies += 1
+            self._stats.auto_replies += 1
         else:
-            self.stats.replies_sent += 1
+            self._stats.replies_sent += 1
         tr = self.node.sim.trace
         if tr.enabled:
             tr.emit("am.reply", self.state.node, msg=msg.msg_id, ep=self.state.ep_id,
@@ -408,14 +475,14 @@ class Endpoint:
             # receive queue (and, past the credit window, into overrun
             # NACKs: Figure 6b).
             self._check_alive()
-            self.stats.ring_stalls += 1
+            self._stats.ring_stalls += 1
             yield from thr.compute(1_000)
         if not self.state.resident:
             yield from self.driver.write_fault(self.state, owner=thr)
 
     def _handle_returned(self, msg: Message) -> None:
         """An undeliverable message came back (Section 3.2)."""
-        self.stats.undeliverable += 1
+        self._stats.undeliverable += 1
         tr = self.node.sim.trace
         if tr.enabled:
             tr.emit("am.undeliverable", self.state.node, msg=msg.msg_id,
@@ -433,7 +500,7 @@ class Endpoint:
         self.state.event_mask = set(kinds)
 
     def _on_event(self, detail: Any) -> None:
-        self.stats.wakeups += 1
+        self._stats.wakeups += 1
         self._event_cv.broadcast(detail)
 
     def wait(self, thr: Thread, timeout_ns: Optional[int] = None) -> Generator:

@@ -311,6 +311,11 @@ class ClusterConfig:
     #: attempt and route caching degrades to per-send recomputation once
     #: the fabric has ever been reconfigured.
     express_reenable_quiet_us: float = 200.0
+    #: park host spin loops (credit stalls, MPI receive polling) that
+    #: find nothing to do and charge the skipped polls in closed form
+    #: (DESIGN.md §16).  Purely an execution-speed knob: only the
+    #: dispatched event count differs; off is the full-fidelity loop.
+    spin_elision: bool = True
 
     # --------------------------------------------------------------- engine
     #: which event kernel executes the model — resolved through

@@ -63,6 +63,9 @@ class Comm:
 
     # ------------------------------------------------------------- delivery
     def _deliver(self, token, src: int, seq: int, tag: Any, payload: Any, nbytes: int):
+        waker = self.endpoint.state.waker
+        if waker is not None:  # a receive parked on this rank sees it
+            waker.wake()
         expected = self._recv_next.get(src, 0)
         if seq != expected:
             self._out_of_order.setdefault(src, {})[seq] = (tag, payload, nbytes)
@@ -99,14 +102,13 @@ class Comm:
     def recv(self, thr: Thread, source: int = ANY, tag: Any = ANY) -> Generator:
         """Blocking receive; returns (src, tag, payload, nbytes)."""
         t0 = self.world.sim.now
+        ep = self.endpoint
         while True:
             found = self._match(source, tag)
             if found is not None:
                 self.comm_ns += self.world.sim.now - t0
                 return found
-            processed = yield from self.endpoint.poll(thr, limit=8)
-            if processed == 0:
-                yield from thr.compute(self.endpoint._poll_touch_ns())
+            yield from ep.spin_step(thr, 8, ep._poll_touch_ns)
 
     def sendrecv(self, thr: Thread, dest: int, source: int, tag: Any, nbytes: int, payload: Any = None) -> Generator:
         """Exchange: send to ``dest`` while receiving from ``source``."""

@@ -315,7 +315,7 @@ class EndpointState:
     __slots__ = ("table", "row", "node", "ep_id", "tag", "translation",
                  "send_ring_depth", "recv_queue_depth", "send_ring",
                  "recv_requests", "recv_replies", "returned",
-                 "event_mask", "event_callback", "stats")
+                 "event_mask", "event_callback", "stats", "waker")
 
     def __init__(
         self,
@@ -355,6 +355,9 @@ class EndpointState:
         self.event_callback: Optional[Callable[[str], None]] = None
 
         self.stats = EndpointStats(table, self.row)
+        #: the host spin loop parked on this endpoint, if any: a deposit
+        #: or a residency change wakes it (DESIGN §16)
+        self.waker: Optional[Any] = None
         table.views[self.row] = self
 
     # ------------------------------------------------------ column views
@@ -402,6 +405,8 @@ class EndpointState:
     @residency.setter
     def residency(self, value: Residency) -> None:
         self.table.res[self.row] = RES_CODE[value]
+        if self.waker is not None:  # the poll cost depends on residency
+            self.waker.wake()
 
     @property
     def frame(self) -> Optional[int]:

@@ -53,6 +53,8 @@ class TraceBus:
         """Install a bus on ``sim``, replacing the nil sink (or a prior bus)."""
         bus = cls(sim, capacity=capacity)
         sim.trace = bus
+        # a traced run is full fidelity: parked spin loops resume
+        sim.wake_parked()
         return bus
 
     def detach(self) -> None:

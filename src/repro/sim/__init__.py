@@ -9,6 +9,7 @@ from .core import (
     NS_PER_S,
     NS_PER_US,
     NULL_TRACE,
+    Park,
     Process,
     SimError,
     Simulator,
@@ -32,6 +33,7 @@ __all__ = [
     "NS_PER_S",
     "NS_PER_US",
     "NULL_TRACE",
+    "Park",
     "Process",
     "ReferenceProcess",
     "ReferenceSimulator",
