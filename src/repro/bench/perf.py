@@ -176,7 +176,10 @@ def _run_contention(sim_factory: Callable, scale: Scale, traced: bool,
         nclients=4, mode="one_vn",
         warmup_ms=scale.contention_warmup_ms,
         duration_ms=scale.contention_duration_ms,
-        base=ClusterConfig(express_path=express),
+        # spin elision removes most of this scenario's events, which
+        # would move the committed event count and the kernel ratio
+        # measured over it — pin it off
+        base=ClusterConfig(express_path=express, spin_elision=False),
     )
     t0 = time.perf_counter()
     res = run_contention(ccfg, sim_factory=sim_factory)
