@@ -148,7 +148,7 @@ class ReferenceSimulator(Simulator):
                 if fn is None:  # canceled
                     continue
                 self.now = when
-                if self._parked and self._tie_log is not None:
+                if self._parked and self._tie_groups:
                     self._tie_log.append(entry[1])
                     self._tie_marks.append(next(self._seq))
                 fn(*entry[2])

@@ -160,6 +160,51 @@ def test_mpi_recv_cell():
     assert runs["sequential", True][1] < runs["sequential", False][1]
 
 
+def _alltoall_cell(engine, elide, ranks=12, ties=None):
+    """NAS-IS-style small all-to-all: every rank spins in ``Comm.recv``
+    in lockstep, so many parks of one schedule group tie with each real
+    dispatch.  ``ties`` collects, at each tie instant the elided run
+    closes, the parks stepping there and whether a materialized loop's
+    entry dispatched among them."""
+    cluster = Cluster(_cfg(engine, elide, num_hosts=ranks))
+    sim = cluster.sim
+    world = cluster.run_process(build_world(cluster, list(range(ranks))), "mpi")
+    log = []
+
+    def main(thr, comm):
+        for it in range(3):
+            out = yield from comm.alltoall(thr, [(comm.rank, it)] * ranks, 16)
+            log.append(("a2a", sim.now, comm.rank, tuple(out)))
+        yield from comm.barrier(thr)
+        return comm.comm_ns
+
+    if ties is not None and elide:
+        end_tie = sim._end_tie
+
+        def spy(marker):
+            parks = [p for members in sim._tie_groups.values() for p in members]
+            floats = any(seq.__class__ is float for seq in sim._tie_log)
+            ties.append((len(parks), len(sim._tie_groups), floats))
+            end_tie(marker)
+
+        sim._end_tie = spy
+    threads = world.spawn(main)
+    cluster.run(until=sim.now + ms(50))
+    assert all(t.finished for t in threads)
+    eps = [c.endpoint for c in world.comms]
+    return (_snapshot(cluster, eps, threads, log),
+            [t.result for t in threads]), sim.events_dispatched
+
+
+def test_lockstep_alltoall_cell():
+    ties = []
+    _both(_alltoall_cell, ties=ties)
+    # the cell bites: a whole group ties at one instant, and materialized
+    # siblings dispatch inside its marker gap
+    assert max(n for n, _, _ in ties) >= 8
+    assert any(n >= 8 and floats for n, _, floats in ties)
+
+
 def _logp_cell(engine, elide):
     cluster = Cluster(_cfg(engine, elide, num_hosts=4))
     sim = cluster.sim
