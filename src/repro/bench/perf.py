@@ -51,7 +51,10 @@ Run as a module::
 
     PYTHONPATH=src python -m repro.bench.perf                 # measure
     PYTHONPATH=src python -m repro.bench.perf --reference     # + oracle
-    PYTHONPATH=src python -m repro.bench.perf --check         # CI gate
+    PYTHONPATH=src python -m repro.bench.perf --check --out run.json  # CI gate
+
+``--check`` refuses an ``--out`` that is its baseline: the run would
+replace the record it is judged against.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import time
 import tracemalloc
 from dataclasses import asdict, dataclass
@@ -635,7 +639,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     help="baseline JSON for --check (default: committed "
                          "BENCH_PERF.json)")
     ap.add_argument("--out", default="BENCH_PERF.json",
-                    help="where to write results (default BENCH_PERF.json)")
+                    help="where to write results (default BENCH_PERF.json; "
+                         "under --check it must not be the baseline)")
     ap.add_argument("--quick", action="store_true",
                     help="smaller problem sizes (CI smoke)")
     ap.add_argument("--repeat", type=int, default=1,
@@ -661,6 +666,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"wrote {args.out}")
         return 0
 
+    baseline = None
+    if args.check:
+        # the run must not replace the record it is checked against
+        if os.path.realpath(args.out) == os.path.realpath(args.baseline):
+            ap.error(f"--check compares against {args.baseline}; "
+                     "write the run elsewhere with --out")
+        try:
+            with open(args.baseline) as f:
+                baseline = json.load(f)
+        except FileNotFoundError:
+            print(f"no baseline at {args.baseline}; nothing to check against")
+
     reference = args.reference or args.check
     suite = run_suite(reference=reference, quick=args.quick,
                       repeat=args.repeat)
@@ -671,13 +688,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f.write("\n")
     print(f"wrote {args.out}")
 
-    if args.check:
-        try:
-            with open(args.baseline) as f:
-                baseline = json.load(f)
-        except FileNotFoundError:
-            print(f"no baseline at {args.baseline}; nothing to check against")
-            return 0
+    if baseline is not None:
         failures = check_baseline(suite, baseline)
         for msg in failures:
             print(f"PERF REGRESSION: {msg}")

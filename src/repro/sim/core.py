@@ -351,7 +351,7 @@ class Park:
     resumes at the step where it would have seen the change.
     """
 
-    __slots__ = ("sim", "_cb", "_p0", "_entry", "_state", "_group", "_left")
+    __slots__ = ("sim", "_cb", "_entry", "_state", "_run")
 
     PARKED, LIVE, DONE = 0, 1, 2
 
@@ -361,12 +361,9 @@ class Park:
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self._cb: Optional[Callable] = None
-        self._p0 = 0
         self._entry: Optional[list] = None
         self._state = Park.DONE
-        self._group: Optional[_Lockstep] = None
-        #: the group's members when this park left it (its rank stays known)
-        self._left: Optional[list] = None
+        self._run: Optional[_Run] = None
 
     @property
     def parked(self) -> bool:
@@ -423,14 +420,79 @@ class _Lockstep:
     """The parks with one ``Park.schedule()``: they step at the same
     virtual instants, so the order of their steps never changes."""
 
-    __slots__ = ("members", "cuts")
+    __slots__ = ("key", "runs", "due")
 
-    def __init__(self, park: Park):
-        #: in step order; replaced on every change, so snapshots stay valid
-        self.members = [park]
-        #: each recent instant tied with a real dispatch -> the members
-        #: then and their push seqs there
-        self.cuts: dict[int, tuple[list, list]] = {}
+    def __init__(self, key: Any):
+        self.key = key
+        #: the group's runs (their keys order them)
+        self.runs: list[_Run] = []
+        #: the last instant its sentinels were pushed for
+        self.due = -1
+
+
+class _Run:
+    """Members of one group whose pushes are adjacent: nothing else was
+    pushed between them.  At ``at`` they pushed with the keys that split
+    ``(lo, hi)`` evenly, in step order; at their instants since then time
+    did not stop, so their pushes there have :class:`_GapKey` keys.
+    ``entry`` is their sentinel while it is due."""
+
+    __slots__ = ("group", "members", "at", "lo", "hi", "entry")
+
+    def __init__(self, group: _Lockstep, members: list, at: int, lo: Any, hi: Any):
+        self.group = group
+        self.members = members
+        self.at = at
+        self.lo = lo
+        self.hi = hi
+        self.entry: Optional[list] = None
+
+
+class _GapKey:
+    """The seq of a push at virtual instant ``t`` that no real dispatch
+    shares: below ``m``, the first seq taken after ``t``, and above every
+    seq taken before.  ``park``'s loop made it, in ``group``, from the key
+    ``base`` it pushed with at ``at`` and pushes at instants between."""
+
+    __slots__ = ("t", "m", "park", "group", "at", "base")
+
+    def __init__(self, t: int, m: int, park: Park, group: _Lockstep, at: int, base: Any):
+        self.t = t
+        self.m = m
+        self.park = park
+        self.group = group
+        self.at = at
+        self.base = base
+
+    def __lt__(self, other: Any) -> bool:
+        if other.__class__ is _GapKey:
+            return _gap_before(self, other)
+        return self.m <= other
+
+    def __gt__(self, other: Any) -> bool:
+        if other.__class__ is _GapKey:
+            return _gap_before(other, self)
+        return self.m > other
+
+
+def _gap_before(a: _GapKey, b: _GapKey) -> bool:
+    """Was push ``a`` made before push ``b``?  Pushes are ordered by time,
+    then by the entries they were made from: the loops' pushes at their
+    instants before, back to where the two part.  A push a loop made when
+    its run stepped (``at``) follows any made at the same instant that no
+    real dispatch shared: that instant was then a ``run(until=)`` exit."""
+    ta, tb = a.t, b.t
+    while True:
+        if ta != tb:
+            return ta < tb
+        if ta == a.at or tb == b.at:
+            if ta == a.at and tb == b.at:
+                return a.base < b.base
+            return tb == b.at
+        if a.group is b.group:  # lockstep: straight back to the later run step
+            ta = tb = max(a.at, b.at)
+        else:
+            ta, tb = a.park.prev_instant(ta), b.park.prev_instant(tb)
 
 
 def _as_waitable(sim: "Simulator", obj: Any) -> Any:
@@ -612,17 +674,9 @@ class Simulator:
         #: (bounded: pruned to the last few ``_park_window`` ns)
         self._park_log: list[tuple] = []
         self._park_window = 0
-        #: (when, seq) -> [[park, start, seq, key]] materialized with one
-        #: push seq, in step order; ``key`` is the entry's own heap key
-        self._live: dict[tuple, list] = {}
-        #: (when, key) of a materialized entry -> its item
-        self._park_items: dict[Any, list] = {}
-        #: the current tie instant: its time, the groups that step there (->
-        #: their members then), and the seq and a marker per real dispatch
-        self._tie_at: Optional[int] = None
-        self._tie_groups: dict[_Lockstep, list] = {}
-        self._tie_log: list = []
-        self._tie_marks: list = []
+        #: the callback of every sentinel entry (the run loop tells them
+        #: from real events by it)
+        self._step = self._step_run
 
     # -- low-level scheduling ----------------------------------------------
     def schedule(self, delay: int, fn: Callable, *args: Any) -> _Handle:
@@ -695,220 +749,144 @@ class Simulator:
 
     # -- parking (spin elision, DESIGN.md §16) -------------------------------
     #
-    # A virtual instant's step is ordered against real events by the seq
-    # its entry would have had, known relative to markers: ``_park_log``
-    # records a fresh seq at every time advance while anything is parked,
-    # and at an instant where some group has a virtual step (a *tie*
-    # instant) ``_tie_log`` records one per real dispatch.  A push at a
-    # virtual instant lies just below the marker of the first real
-    # dispatch after it.  A lockstep group is placed once per tie instant.
+    # A group's members step at a virtual instant in the order of the
+    # entries their loops pushed, and runs of them whose pushes were
+    # adjacent step together.  When time advances to an instant where a
+    # group steps, each run gets a *sentinel*: a heap entry keyed just
+    # below its first member's entry, so the heap orders the run's steps
+    # against every real entry there.  A sentinel is no event: it takes the seq the
+    # run pushes with and pops without being counted.  A push at an instant
+    # time never stops at lies below the next marker in ``_park_log``.
 
     def _park(self, park: Park, cb: Callable) -> None:
         park._cb = cb
-        # the seq the loop's first step would have been pushed with
-        park._p0 = next(self._seq)
         park._entry = None
         park._state = Park.PARKED
-        park._left = None
         self._parked.append(park)
+        # the seq the loop's first step would have been pushed with
+        seq = next(self._seq)
         key = park.schedule()
-        group = park._group = self._lockstep.get(key)
+        group = self._lockstep.get(key)
         if group is None:
-            group = park._group = self._lockstep[key] = _Lockstep(park)
+            group = self._lockstep[key] = _Lockstep(key)
             for mod, res in park.keys():
                 self._park_index.setdefault(mod, {}).setdefault(res, []).append(group)
-        else:
-            members = group.members
-            pos = len(members)
-            if group in self._tie_groups:
-                # behind the steps taken here so far, and the parks made here
-                now, then = self.now, self._tie_groups[group]
-                slots = self._tie_steps(group, then, now)
-                taken = then[:bisect.bisect_left(slots, len(self._tie_log))]
-                pos = bisect.bisect_left(members, True, key=lambda p: p.origin != now
-                                         and p not in taken)
-            group.members = members[:pos] + [park] + members[pos:]
+        park._run = _Run(group, [park], self.now, seq, seq + 1)
+        group.runs.append(park._run)
         self._park_window = max(self._park_window, park.window)
         park._attach()
 
     def _park_acc(self, park: Park) -> int:
         """The last instant of ``park`` already stepped through at the
-        current point of the run: ``now`` itself only if its virtual step
-        there comes before the real event being (or last) dispatched."""
+        current point of the run: ``now`` itself once its run stepped."""
         now = self.now
-        if (self._tie_log and park._group in self._tie_groups and park.origin < now
-                and self._tie_steps(park._group, [park], now)[0] < len(self._tie_log)):
-            return now
-        return now - 1
+        return now if park._run.at == now else now - 1
 
-    def _push_seq(self, park: Park, t: int) -> Any:
-        """The seq of the entry ``park``'s loop pushed at its instant ``t``."""
-        if t == park.origin:
-            return park._p0
-        cut = park._group.cuts.get(t)
-        if cut is not None:
-            return cut[1][cut[0].index(park)]
-        if t == self._tie_at and park._group in self._tie_groups:
-            k = self._tie_steps(park._group, [park], t)[0]
-            if k == len(self._tie_log):
-                raise SimError(f"virtual step at {t} has not been taken yet")
-            return self._tie_marks[k] - 0.5
+    def _gap_key(self, t: int, park: Park, run: _Run, base: Any) -> _GapKey:
+        """The key of ``park``'s push at ``t``, an instant after its run
+        last stepped (where it pushed with ``base``)."""
         log = self._park_log
         i = bisect.bisect_right(log, (t, math.inf))
         if i == len(log):
             raise SimError(f"no time advance recorded after virtual instant {t}")
-        return log[i][1] - 0.5
+        return _GapKey(t, log[i][1], park, run.group, run.at, base)
 
-    def _push_before(self, a: Park, sa: int, va: Any, b: Park, sb: int, vb: Any) -> bool:
-        """Was ``a``'s push at its instant ``sa`` (seq ``va``) made before
-        ``b``'s at ``sb`` (seq ``vb``)?  Pushes in one marker gap are
-        ordered by time, then by the steps that made them."""
-        while True:
-            if va != vb:
-                return va < vb
-            if sa != sb:
-                return sa < sb
-            if a._group is b._group:
-                # one group keeps one order: read it off a list with both
-                m = next(m for m in (a._left, b._left, a._group.members)
-                         if m is not None and a in m and b in m)
-                return m.index(a) < m.index(b)
-            sa, sb = a.prev_instant(sa), b.prev_instant(sb)
-            va, vb = self._push_seq(a, sa), self._push_seq(b, sb)
+    def _sentinel(self, run: _Run, t: int, s: int) -> None:
+        """Push the sentinel of ``run``, which steps at ``t`` from its
+        pushes at ``s``: keyed just before its first member's entry (half a
+        key step, so it never ties with an entry materialized there)."""
+        half = run.lo + (run.hi - run.lo) / (2 * len(run.members) + 2)
+        key = half if run.at == s else self._gap_key(s, run.members[0], run, half)
+        run.entry = self._push_entry(t, key, self._step, (run,))
 
-    def _tie_steps(self, group: _Lockstep, members: list, t: int) -> list[int]:
-        """For each of ``members`` (in step order), the real dispatch at
-        the open tie instant ``t`` its step there comes just before (the
-        dispatch count so far while it waits behind every one)."""
-        s = members[0].prev_instant(t)
-        last = group.cuts.get(s)
-        if last is not None and last[0] is members:
-            seqs = last[1]
-        elif last is None:
-            # no tie at s: one push seq for the members parked before it
-            v = next((self._push_seq(p, s) for p in members if p.origin != s), None)
-            seqs = [p._p0 if p.origin == s else v for p in members]
-        else:  # the members changed since the tie at s
-            seqs = [p._p0 if p.origin == s else last[1][last[0].index(p)] for p in members]
-        log, items = self._tie_log, self._park_items
-        slots: list[int] = []
-        lo, n = 0, len(seqs)
-        while lo < n:
-            # a run of equal push seqs (they never fall in step order)
-            v = seqs[lo]
-            hi = bisect.bisect_right(seqs, v, lo)
-            if v.__class__ is int:
-                k = bisect.bisect_right(log, v)
-            else:
-                k = bisect.bisect_right(log, v - 0.5)
-                # a materialized entry in v's own marker gap splits the run
-                while lo < hi and k < len(log) and log[k] < v + 0.5:
-                    b, sb, vb = items[t, log[k]][:3]
-                    cut = bisect.bisect_left(members, True, lo, hi, key=lambda p: not
-                                             self._push_before(p, s, v, b, sb, vb))
-                    slots += [k] * (cut - lo)
-                    lo = cut
-                    k += 1
-            slots += [k] * (hi - lo)
-            lo = hi
-        return slots
-
-    def _end_tie(self, marker: int) -> None:
-        """Close the current tie instant: every step still pending there
-        is pushed before ``marker``."""
-        t = self._tie_at
-        marks = self._tie_marks
-        marks.append(marker)
-        horizon = t - 8 * self._park_window - 1
-        for group, members in self._tie_groups.items():
-            slots = self._tie_steps(group, members, t)
-            group.cuts[t] = (members, [marks[k] - 0.5 for k in slots])
-            if len(group.cuts) > 32 and next(iter(group.cuts)) < horizon:
-                group.cuts = {k: v for k, v in group.cuts.items() if k >= horizon}
-        self._tie_groups = {}
+    def _step_run(self, run: _Run) -> None:
+        """A sentinel pops: ``run`` steps at ``now`` and pushes under one
+        fresh seq; right behind a run of its group, it joins that run."""
+        run.entry = None
+        seq = next(self._seq)
+        runs = run.group.runs
+        for prev in runs:
+            if prev.at == self.now and prev.hi == seq:
+                prev.members += run.members
+                prev.hi = seq + 1
+                for park in run.members:
+                    park._run = prev
+                runs.remove(run)
+                return
+        run.at, run.lo, run.hi = self.now, seq, seq + 1
 
     def _unpark(self, park: Park, materialize: bool = True) -> None:
         """Settle ``park`` to the current point and take it off the park
         list; unless canceling, push the heap entry of its current step."""
         park.settle(self._park_acc(park))
         park._detach()
-        group = park._group
-        park._left = members = group.members
+        run = park._run
+        park._run = None
+        members = run.members
         i = members.index(park)
-        group.members = members[:i] + members[i + 1:]
+        key = run.lo + (i + 1) * (run.hi - run.lo) / (len(members) + 1)
         if materialize:
             start, end, value = park.current()
-            seq = self._push_seq(park, start)
-            # in one marker gap: key the entry between its step-order neighbours
-            live = self._live.setdefault((end, seq), [])
-            k = bisect.bisect_left(live, True, key=lambda it: self._push_before(
-                park, start, seq, it[0], it[1], it[2]))
-            lo = live[k - 1][3] if k else seq - 0.5
-            hi = live[k][3] if k < len(live) else seq + 0.5
-            key = (lo + hi) / 2 if live else seq
-            if not lo < key < hi:
-                raise SimError(f"no sequence key left between {lo} and {hi}")
-            live.insert(k, [park, start, seq, key])
-            self._park_items[end, key] = live[k]
-            park._entry = self._push_entry(end, key, park._cb, (value, None))
+            seq = key if start == run.at else self._gap_key(start, park, run, key)
+            park._entry = self._push_entry(end, seq, park._cb, (value, None))
             park._state = Park.LIVE
+        # the members on either side stay runs, with their keys unchanged
+        runs = run.group.runs
+        due = run.entry
+        if due is not None and not i:
+            due[3] = None
+            run.entry = None
+        right = members[i + 1:]
+        if right:
+            rest = _Run(run.group, right, run.at, key, run.hi)
+            for p in right:
+                p._run = rest
+            runs.append(rest)
+            if due is not None:
+                self._sentinel(rest, self.now, park.prev_instant(self.now))
+        if i:
+            run.members, run.hi = members[:i], key
+        else:
+            runs.remove(run)
         self._parked.remove(park)
-        if not group.members:
-            del self._lockstep[park.schedule()]
+        if not runs:
+            del self._lockstep[run.group.key]
             for mod, res in park.keys():
                 groups = self._park_index[mod]
-                groups[res].remove(group)
+                groups[res].remove(run.group)
                 if not groups[res]:
                     del groups[res]
                     if not groups:
                         del self._park_index[mod]
         if not self._parked:
             self._park_log.clear()
-            for items in self._live.values():
-                for item in items:
-                    item[0]._left = None
-            self._live.clear()
-            self._park_items.clear()
             self._park_window = 0
-            self._tie_groups = {}
 
     def _park_advance(self, when: int) -> None:
         """Time is about to advance to ``when`` (a real event is due):
-        record a marker, and start a tie log if a group steps there."""
-        marker = next(self._seq)
-        if self._tie_groups:
-            self._end_tie(marker)
+        record a marker, and push the sentinels of the groups that step
+        there."""
         log = self._park_log
-        log.append((when, marker))
+        log.append((when, next(self._seq)))
         if len(log) > 256:
             del log[:bisect.bisect_left(log, (when - 8 * self._park_window - 1,))]
-        live = self._live
-        if live:
-            for key in [k for k in live if k[0] < when]:
-                for item in live.pop(key):
-                    del self._park_items[key[0], item[3]]
-                    item[0]._left = None  # its rank is asked for no more
         self.now = when
-        tied = {}
         for mod, residues in self._park_index.items():
             for group in residues.get(when % mod, ()):
-                tied[group] = group.members
-        if tied:
-            self._tie_log, self._tie_marks, self._tie_groups, self._tie_at = [], [], tied, when
+                if group.due != when:
+                    group.due = when
+                    runs = group.runs
+                    s = runs[0].members[0].prev_instant(when)
+                    for run in runs:
+                        self._sentinel(run, when, s)
 
     def _park_settle(self, through_until: bool) -> None:
         """Run exit: settle every parked loop and mark the boundary, so
         entries pushed from here on order after its steps so far.  At
         ``until`` every step due there has been taken."""
         marker = next(self._seq)
-        if through_until:
-            if self._tie_groups:
-                self._end_tie(marker)
-            for park in self._parked:
-                park.settle(self.now)
-        else:
-            for park in self._parked:
-                park.settle(self._park_acc(park))
+        for park in self._parked:
+            park.settle(self.now if through_until else self._park_acc(park))
         self._park_log.append((self.now + 0.5, marker))
 
     def wake_parked(self) -> None:
@@ -975,6 +953,7 @@ class Simulator:
         pop = _heappop
         entry_pool = self._entry_pool
         parked = self._parked
+        step = self._step
         count = 0
         through_until = False
         try:
@@ -999,9 +978,12 @@ class Simulator:
                         entry_pool.append(entry)
                     continue
                 self.now = when
-                if parked and self._tie_groups:
-                    self._tie_log.append(entry[1])
-                    self._tie_marks.append(next(self._seq))
+                if fn is step:  # a sentinel: no event
+                    fn(*entry[2])
+                    entry[2] = None
+                    entry[3] = None
+                    entry_pool.append(entry)
+                    continue
                 fn(*entry[2])
                 if entry[4]:
                     entry[2] = None

@@ -148,10 +148,9 @@ class ReferenceSimulator(Simulator):
                 if fn is None:  # canceled
                     continue
                 self.now = when
-                if self._parked and self._tie_groups:
-                    self._tie_log.append(entry[1])
-                    self._tie_marks.append(next(self._seq))
                 fn(*entry[2])
+                if fn is self._step:  # a sentinel: no event
+                    continue
                 count += 1
                 if stop is not None and stop():
                     return self.now

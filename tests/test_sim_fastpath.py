@@ -283,6 +283,14 @@ class _Ticker(Park):
         return o + (t - 1 - o) // p * p
 
 
+def _assert_no_park_state(sim):
+    """Once nothing is parked the kernel keeps no parking state: no
+    groups, no residue index, no marker log and no sentinel in the heap."""
+    assert not sim._parked and not sim._lockstep and not sim._park_index
+    assert not sim._park_log
+    assert not any(e[3] is sim._step for e in sim._heap)
+
+
 def _ticker_run(sim, parked, wake_at, interrupt_at=None):
     """A process ticking every 70 ns until a flag set at ``wake_at``."""
     flag, out, box, ticks = [False], [], {}, [0]
@@ -321,7 +329,7 @@ def test_park_wake_resumes_at_the_loops_next_step(sim_cls):
     parked = _ticker_run(parked_sim, True, 1003)
     assert parked == full == ([(1050, 15)], 2003)
     assert parked_sim.events_dispatched < 6
-    assert not parked_sim._parked and not parked_sim._park_log and not parked_sim._lockstep
+    _assert_no_park_state(parked_sim)
 
 
 @pytest.mark.parametrize("sim_cls", [Simulator, ReferenceSimulator])
@@ -413,16 +421,21 @@ def test_parks_tied_in_one_gap_settle_at_run_exit(sim_cls):
     assert full == ([("real", 700), (0, 700, 10)], 10, 705)
 
 
-def _ticker_group(sim_cls, parked, tags, chain=None, wakes=(), nudges=(), untils=(), end=3_000):
+def _ticker_group(sim_cls, parked, tags, chain=None, wakes=(), nudges=(), late_wakes=(),
+                  idle=(), untils=(), end=3_000):
     """One loop per tag ticking every 70 ns from t=0; equal tags tick in
     one lockstep group.  ``chain=(k, t)`` adds a real process, created
     between loops ``k - 1`` and ``k``, that ticks with them (so it
     dispatches inside the group's gap at every instant) and stops every
     loop at ``t``.  A loop woken by ``wakes`` (time, loop) stops every
     loop when it next runs; one woken by ``nudges`` just parks again
-    there, joining its group at that step.  Returns each loop's (loop,
-    exit time, ticks), the ticks when each ``run(until=)`` in ``untils``
-    returned, and the final time."""
+    there, joining its group at that step.  Both are pushed at t=0, so a
+    wake at a tick comes before the loops' steps there; ``late_wakes``
+    are pushed 35 ns before, so they come after them.  Events at the
+    ``idle`` times do nothing (the loops' steps there come after them, so
+    parks made one after another step there as one run).  Returns each
+    loop's (loop, exit time, ticks), the ticks when each ``run(until=)``
+    in ``untils`` returned, and the final time."""
     sim = sim_cls()
     n = len(tags)
     ticks = [[0] for _ in tags]
@@ -464,6 +477,10 @@ def _ticker_group(sim_cls, parked, tags, chain=None, wakes=(), nudges=(), untils
         sim.schedule(t, wake, i)
     for t, i in nudges:
         sim.schedule(t, wake, i, False)
+    for t, i in late_wakes:
+        sim.schedule(t - 35, sim.schedule, 35, wake, i)
+    for t in idle:
+        sim.schedule(t, lambda: None)
     seen = []
     for until in untils:
         sim.run(until=until)
@@ -476,8 +493,7 @@ def _lockstep_case(sim_cls, **kw):
     full = _ticker_group(sim_cls, False, **kw)
     parked_sim = sim_cls()
     assert _ticker_group(lambda: parked_sim, True, **kw) == full
-    assert not parked_sim._parked and not parked_sim._lockstep
-    assert not parked_sim._park_index and not parked_sim._live and not parked_sim._park_items
+    _assert_no_park_state(parked_sim)
     return full
 
 
@@ -549,8 +565,7 @@ def _late_joiner(sim_cls, parked):
     sim.schedule(70, sim.schedule, 70, stop)
     sim.spawn(loop(1))
     sim.run(until=3_000)
-    assert not sim._parked and not sim._lockstep
-    assert not sim._park_index and not sim._live and not sim._park_items
+    _assert_no_park_state(sim)
     return sorted(out)
 
 
@@ -561,3 +576,93 @@ def test_park_made_after_run_until_steps_behind_the_events_before_it(sim_cls):
     # sees the stop at 840 and loop 0 does not
     full = _late_joiner(sim_cls, False)
     assert _late_joiner(sim_cls, True) == full == [(0, 910, 13), (1, 840, 2)]
+
+
+@pytest.mark.parametrize("sim_cls", [Simulator, ReferenceSimulator])
+def test_wakes_of_the_ends_of_a_run_before_its_sentinel_pops(sim_cls):
+    # the loops step as one run at 350; a wake at 700 comes before the
+    # run's steps there: the woken loop runs at 700 at its own place, the
+    # members ahead of it step first and those behind it after
+    run = {"tags": "a" * 5, "idle": (350,)}
+    out, _, _ = _lockstep_case(sim_cls, wakes=[(700, 0)], **run)
+    assert [t for _, t, _ in out] == [700] * 5
+    out, _, _ = _lockstep_case(sim_cls, wakes=[(700, 4)], **run)
+    assert [t for _, t, _ in out] == [770] * 4 + [700]
+    out, _, _ = _lockstep_case(sim_cls, wakes=[(700, 2)], **run)
+    assert [t for _, t, _ in out] == [770] * 2 + [700] * 3
+    # the members on either side of a loop woken (and parked again) there
+    # still step at 700, so a wake after their steps resumes them at 770
+    for woken in (0, 2):
+        out, _, _ = _lockstep_case(sim_cls, nudges=[(700, woken)], late_wakes=[(700, 4)], **run)
+        assert [t for _, t, _ in out] == [840] * 4 + [770]
+
+
+@pytest.mark.parametrize("sim_cls", [Simulator, ReferenceSimulator])
+def test_park_joins_its_group_before_and_after_its_sentinel_pops(sim_cls):
+    # loop 0, woken at 650, steps at 700 before the run's sentinel pops
+    # and parks again ahead of the members still due; loop 4 steps and
+    # parks behind them.  Either way the order stays 0..4, so a wake of
+    # loop 2 at 1003 stops loops 0 and 1 a step later than the rest
+    for nudged in (0, 4):
+        out, _, _ = _lockstep_case(sim_cls, tags="a" * 5, idle=(350,),
+                                   nudges=[(650, nudged)], wakes=[(1003, 2)])
+        assert [t for _, t, _ in out] == [1120] * 2 + [1050] * 3
+
+
+def _tie_exit(sim_cls, parked, max_events=None):
+    """Three loops tick every 70 ns from t=0 in one group.  An event at
+    350 and one at 700 (X1), both pushed at t=0, come before the loops'
+    steps there; X2, pushed at 650 for 700, comes after them and stops
+    every loop.  The first run returns after ``max_events``, or by
+    ``stop=`` right after X1; then the run goes on to 2000.  Returns the
+    time and ticks when the first run returned, each loop's (loop, exit
+    time, ticks), and the events dispatched."""
+    sim = sim_cls()
+    ticks, flags, parks, out, seen = [[0], [0], [0]], [False], [None] * 3, [], []
+
+    def loop(i):
+        while not flags[0]:
+            if parked:
+                parks[i] = _Ticker(sim, 70, ticks[i])
+                yield parks[i]
+            else:
+                yield sim.timeout(70)
+            ticks[i][0] += 1
+        out.append((i, sim.now, ticks[i][0]))
+
+    def stop():
+        flags[0] = True
+        for p in parks:
+            if p is not None and p.parked:
+                p.wake()
+
+    for i in range(3):
+        sim.spawn(loop(i))
+    sim.schedule(350, lambda: None)
+    sim.schedule(700, seen.append, "x1")
+    sim.schedule(650, sim.schedule, 50, stop)
+    if max_events is None:
+        sim.run(stop=lambda: bool(seen))
+    else:
+        sim.run(max_events=max_events)
+    first = (sim.now, [c[0] for c in ticks])
+    if parked:
+        # the group's step at 700 is still due: its sentinel is in the heap
+        assert any(e[0] == sim.now and e[3] is sim._step for e in sim._heap)
+    sim.run(until=2_000)
+    if parked:
+        _assert_no_park_state(sim)
+    return first, sorted(out), sim.events_dispatched
+
+
+@pytest.mark.parametrize("sim_cls", [Simulator, ReferenceSimulator])
+def test_run_returns_with_a_sentinel_due_at_the_current_instant(sim_cls):
+    full, full_out, _ = _tie_exit(sim_cls, False)
+    assert full == (700, [9, 9, 9])
+    assert [t for _, t, _ in full_out] == [770] * 3
+    for max_events in (None, 6):
+        first, out, events = _tie_exit(sim_cls, True, max_events)
+        assert (first, out) == (full, full_out)
+        # sentinels are no events: the real ones are three spawns, the
+        # events at 350 and 650, X1, X2 and each loop's last resume
+        assert events == 10

@@ -160,12 +160,12 @@ def test_mpi_recv_cell():
     assert runs["sequential", True][1] < runs["sequential", False][1]
 
 
-def _alltoall_cell(engine, elide, ranks=12, ties=None):
+def _alltoall_cell(engine, elide, ranks=12, bite=None):
     """NAS-IS-style small all-to-all: every rank spins in ``Comm.recv``
-    in lockstep, so many parks of one schedule group tie with each real
-    dispatch.  ``ties`` collects, at each tie instant the elided run
-    closes, the parks stepping there and whether a materialized loop's
-    entry dispatched among them."""
+    in lockstep, so many parks of one schedule group step under one
+    sentinel.  ``bite`` collects, in the elided run, the largest run a
+    sentinel stepped and the largest run split by a wake that
+    materialized a member with parked siblings on both sides of it."""
     cluster = Cluster(_cfg(engine, elide, num_hosts=ranks))
     sim = cluster.sim
     world = cluster.run_process(build_world(cluster, list(range(ranks))), "mpi")
@@ -178,16 +178,20 @@ def _alltoall_cell(engine, elide, ranks=12, ties=None):
         yield from comm.barrier(thr)
         return comm.comm_ns
 
-    if ties is not None and elide:
-        end_tie = sim._end_tie
+    if bite is not None and elide:
+        step, unpark = sim._step, sim._unpark
 
-        def spy(marker):
-            parks = [p for members in sim._tie_groups.values() for p in members]
-            floats = any(seq.__class__ is float for seq in sim._tie_log)
-            ties.append((len(parks), len(sim._tie_groups), floats))
-            end_tie(marker)
+        def spy_step(run):
+            bite["run"] = max(bite.get("run", 0), len(run.members))
+            step(run)
 
-        sim._end_tie = spy
+        def spy_unpark(park, materialize=True):
+            members = park._run.members
+            if materialize and members[0] is not park and members[-1] is not park:
+                bite["split"] = max(bite.get("split", 0), len(members))
+            unpark(park, materialize)
+
+        sim._step, sim._unpark = spy_step, spy_unpark
     threads = world.spawn(main)
     cluster.run(until=sim.now + ms(50))
     assert all(t.finished for t in threads)
@@ -197,12 +201,12 @@ def _alltoall_cell(engine, elide, ranks=12, ties=None):
 
 
 def test_lockstep_alltoall_cell():
-    ties = []
-    _both(_alltoall_cell, ties=ties)
-    # the cell bites: a whole group ties at one instant, and materialized
-    # siblings dispatch inside its marker gap
-    assert max(n for n, _, _ in ties) >= 8
-    assert any(n >= 8 and floats for n, _, floats in ties)
+    bite = {}
+    _both(_alltoall_cell, bite=bite)
+    # the cell bites: one sentinel steps a whole group at one instant,
+    # and a materialized sibling splits a run as large
+    assert bite["run"] >= 8
+    assert bite["split"] >= 8
 
 
 def _logp_cell(engine, elide):
